@@ -468,3 +468,56 @@ func BenchmarkStepperStep(b *testing.B) {
 		st.Measure(1)
 	}
 }
+
+// BenchmarkSpecialized pins the allocation wall of each specialized
+// block-loop shape (alone, unfiltered, filtered) with each kind of
+// probe the loops take: per-block hash tables (the bound 2Bc-gskew and
+// tagged gshare) and address-fed families. Steady-state measured
+// stepping must stay at 0 allocs/op; scripts/perfguard.sh gates every
+// sub-benchmark.
+func BenchmarkSpecialized(b *testing.B) {
+	prog := program.MustLoad("gcc")
+	at8 := func(k budget.Kind) budget.Config {
+		cfg, err := budget.Resolve(k, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cfg
+	}
+	pair := func(pk, ck budget.Kind, fb uint, filtered bool) func() *core.Hybrid {
+		pc, cc := at8(pk), at8(ck)
+		return func() *core.Hybrid {
+			return core.New(pc.Build(), cc.Build(), core.Config{FutureBits: fb, Filtered: filtered, BORLen: cc.BORSize()})
+		}
+	}
+	alone := func(k budget.Kind) func() *core.Hybrid {
+		cfg := at8(k)
+		return func() *core.Hybrid { return core.New(cfg.Build(), nil, core.Config{}) }
+	}
+	for _, c := range []struct {
+		name  string
+		build func() *core.Hybrid
+	}{
+		{"alone-gskew", alone(budget.Gskew)},
+		{"alone-tagged", alone(budget.TaggedGshare)},
+		{"alone-bimodal", alone(budget.Bimodal)},
+		{"unfiltered-gskew-tagged", pair(budget.Gskew, budget.TaggedGshare, 8, false)},
+		{"unfiltered-gskew-perceptron", pair(budget.Gskew, budget.Perceptron, 8, false)},
+		{"filtered-gskew-tagged", pair(budget.Gskew, budget.TaggedGshare, 8, true)},
+		{"filtered-gshare-tagged", pair(budget.Gshare, budget.TaggedGshare, 8, true)},
+		{"filtered-perceptron-filtered", pair(budget.Perceptron, budget.FilteredPerceptron, 4, true)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			st := sim.NewStepper(prog, c.build())
+			defer st.Close()
+			if !st.Specialized() {
+				b.Fatalf("%s did not resolve a specialized step loop", c.name)
+			}
+			st.Train(runManyWindow.WarmupBranches)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Measure(1)
+			}
+		})
+	}
+}

@@ -144,12 +144,12 @@ func serve(args []string) {
 	}
 	sched.Start()
 
-	srv := &http.Server{Addr: *addr, Handler: service.NewServer(sched).Handler()}
+	srv := newHTTPServer(*addr, service.NewServer(sched).Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 
 	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr, Handler: service.DebugHandler(sched)}
+		dbg := newHTTPServer(*debugAddr, service.DebugHandler(sched))
 		go func() {
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "pcserved: debug server:", err)
@@ -179,6 +179,30 @@ func serve(args []string) {
 		}
 		srv.Close() // cut event streams; their jobs are checkpointed
 		fmt.Fprintln(os.Stderr, "pcserved: drained; unfinished jobs resume on next start")
+	}
+}
+
+// Listener timeouts for both pcserved listeners: a client has
+// readHeaderTimeout to send its request headers and readTimeout for the
+// whole request, body included (worker checkpoint uploads are the
+// largest), and an idle keep-alive connection closes after idleTimeout.
+// There is deliberately no WriteTimeout: it would cut the long-lived
+// NDJSON event streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns an http.Server for addr with the listener
+// timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -46,3 +46,15 @@ func specializeStep(h *core.Hybrid, _ *program.Program) (core.SpecializedStep, b
 	}
 	return core.SpecializeAlone(h, pr), true
 }
+
+// PredictAt and UpdateAt implement core.StepPredictor for the
+// specialized loops. A Bimodal keeps no per-block hash table, so they
+// index by address and ignore blk. They repeat Predict's and Update's
+// one-line bodies rather than call them: those do not inline, and a
+// forwarding call per probe measurably slows the bimodal replay loop.
+//
+//pclint:hotpath
+func (b *Bimodal) PredictAt(_ int, addr, _ uint64) bool { return b.table[b.index(addr)].Taken() }
+
+//pclint:hotpath
+func (b *Bimodal) UpdateAt(_ int, addr, _ uint64, taken bool) { b.table[b.index(addr)].Update(taken) }

@@ -15,9 +15,11 @@
 // monomorphic, the speculative walk runs on block indices instead of
 // re-deriving them from addresses (Program.Walk is blockAt + Target;
 // an Event already carries its BlockID, and CFG targets are block
-// indices), and the architectural registers and statistics are held in
-// locals across the block instead of being re-loaded through the
-// Hybrid pointer per branch. TestSpecializedMatchesGeneric pins the
+// indices), each probe also names its block so families with
+// per-block address hashes read them instead of re-hashing (the same
+// hash, computed once per program), and the architectural registers
+// and statistics are held in locals across the block instead of being
+// re-loaded through the Hybrid pointer per branch. TestSpecializedMatchesGeneric pins the
 // equivalence for every registered family, and the -no-specialize
 // escape hatch forces the interface path when a specialization bug
 // needs bisecting against the reference loop.
@@ -77,19 +79,23 @@ func NumStepSpecs() int { return len(stepSpecs) }
 
 // StepPredictor is the concrete-type constraint for specialized
 // prophets and unfiltered critics: the predict/update half of
-// predictor.Predictor, satisfied by every family's concrete pointer
-// type, so the loop's calls dispatch without an interface.
+// predictor.Predictor, with each probe also naming the block of the
+// stepped program whose branch it probes (addr == blocks[blk].Addr).
+// Families that hash each static branch once per table geometry
+// (program.BlockTable) index those hashes by blk, through a type bound
+// to the program (gskew.Bound, tagged.Bound); the rest forward to
+// Predict/Update and ignore blk.
 type StepPredictor interface {
-	Predict(addr, hist uint64) bool
-	Update(addr, hist uint64, taken bool)
+	PredictAt(blk int, addr, hist uint64) bool
+	UpdateAt(blk int, addr, hist uint64, taken bool)
 }
 
 // StepTagged additionally requires the tag-filtered critic protocol
-// (predictor.Tagged's extra methods).
+// (predictor.Tagged's extra methods), block-named the same way.
 type StepTagged interface {
 	StepPredictor
-	PredictTagged(addr, hist uint64) (taken, hit bool)
-	Allocate(addr, hist uint64, taken bool)
+	PredictTaggedAt(blk int, addr, hist uint64) (taken, hit bool)
+	AllocateAt(blk int, addr, hist uint64, taken bool)
 }
 
 // SpecializeAlone builds the block loop for a prophet-alone hybrid
@@ -100,7 +106,7 @@ func SpecializeAlone[P StepPredictor](h *Hybrid, prophet P) SpecializedStep {
 		for i := range evs {
 			ev := &evs[i]
 			bhrV := bhr.Value()
-			p := prophet.Predict(ev.Addr, bhrV)
+			p := prophet.PredictAt(ev.BlockID, ev.Addr, bhrV)
 
 			// resolve: prophet-alone folds into the agree classes.
 			stats.Branches++
@@ -111,7 +117,7 @@ func SpecializeAlone[P StepPredictor](h *Hybrid, prophet P) SpecializedStep {
 				stats.FinalMispredict++
 				stats.Critiques[IncorrectAgree]++
 			}
-			prophet.Update(ev.Addr, bhrV, ev.Taken)
+			prophet.UpdateAt(ev.BlockID, ev.Addr, bhrV, ev.Taken)
 			bhr.Push(ev.Taken)
 		}
 		h.bhr, h.stats = bhr, stats
@@ -128,9 +134,9 @@ func SpecializeUnfiltered[P, C StepPredictor](h *Hybrid, prog *program.Program, 
 		bhr, bor, stats := h.bhr, h.bor, h.stats
 		for i := range evs {
 			ev := &evs[i]
-			addr := ev.Addr
+			addr, blk := ev.Addr, ev.BlockID
 			bhrV := bhr.Value()
-			p := prophet.Predict(addr, bhrV)
+			p := prophet.PredictAt(blk, addr, bhrV)
 
 			// The speculative future-bit walk of predictInto, fused onto
 			// block indices: Walk(addr, dir) is blockAt(addr) + Target +
@@ -140,7 +146,7 @@ func SpecializeUnfiltered[P, C StepPredictor](h *Hybrid, prog *program.Program, 
 				borReg.Push(p)
 				specBHR := bhr
 				specBHR.Push(p)
-				cur, dir := ev.BlockID, p
+				cur, dir := blk, p
 				for used := uint(1); used < fb; used++ {
 					t := blocks[cur].NotTakenTo
 					if dir {
@@ -149,14 +155,14 @@ func SpecializeUnfiltered[P, C StepPredictor](h *Hybrid, prog *program.Program, 
 					if t < 0 {
 						break
 					}
-					np := prophet.Predict(blocks[t].Addr, specBHR.Value())
+					np := prophet.PredictAt(t, blocks[t].Addr, specBHR.Value())
 					borReg.Push(np)
 					specBHR.Push(np)
 					cur, dir = t, np
 				}
 			}
 			borV := borReg.Value()
-			c := critic.Predict(addr, borV)
+			c := critic.PredictAt(blk, addr, borV)
 
 			// resolve with CriticUsed always true.
 			taken := ev.Taken
@@ -178,8 +184,8 @@ func SpecializeUnfiltered[P, C StepPredictor](h *Hybrid, prog *program.Program, 
 			default:
 				stats.Critiques[IncorrectDisagree]++
 			}
-			prophet.Update(addr, bhrV, taken)
-			critic.Update(addr, borV, taken)
+			prophet.UpdateAt(blk, addr, bhrV, taken)
+			critic.UpdateAt(blk, addr, borV, taken)
 			bor.Push(taken)
 			bhr.Push(taken)
 		}
@@ -198,16 +204,16 @@ func SpecializeFiltered[P StepPredictor, C StepTagged](h *Hybrid, prog *program.
 		bhr, bor, stats := h.bhr, h.bor, h.stats
 		for i := range evs {
 			ev := &evs[i]
-			addr := ev.Addr
+			addr, blk := ev.Addr, ev.BlockID
 			bhrV := bhr.Value()
-			p := prophet.Predict(addr, bhrV)
+			p := prophet.PredictAt(blk, addr, bhrV)
 
 			borReg := bor
 			if fb > 0 {
 				borReg.Push(p)
 				specBHR := bhr
 				specBHR.Push(p)
-				cur, dir := ev.BlockID, p
+				cur, dir := blk, p
 				for used := uint(1); used < fb; used++ {
 					t := blocks[cur].NotTakenTo
 					if dir {
@@ -216,14 +222,14 @@ func SpecializeFiltered[P StepPredictor, C StepTagged](h *Hybrid, prog *program.
 					if t < 0 {
 						break
 					}
-					np := prophet.Predict(blocks[t].Addr, specBHR.Value())
+					np := prophet.PredictAt(t, blocks[t].Addr, specBHR.Value())
 					borReg.Push(np)
 					specBHR.Push(np)
 					cur, dir = t, np
 				}
 			}
 			borV := borReg.Value()
-			c, hit := critic.PredictTagged(addr, borV)
+			c, hit := critic.PredictTaggedAt(blk, addr, borV)
 			final := p
 			if hit {
 				final = c
@@ -252,11 +258,11 @@ func SpecializeFiltered[P StepPredictor, C StepTagged](h *Hybrid, prog *program.
 			default:
 				stats.Critiques[IncorrectDisagree]++
 			}
-			prophet.Update(addr, bhrV, taken)
+			prophet.UpdateAt(blk, addr, bhrV, taken)
 			if hit {
-				critic.Update(addr, borV, taken)
+				critic.UpdateAt(blk, addr, borV, taken)
 			} else if !prophetRight {
-				critic.Allocate(addr, borV, taken)
+				critic.AllocateAt(blk, addr, borV, taken)
 			}
 			bor.Push(taken)
 			bhr.Push(taken)

@@ -85,3 +85,21 @@ func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, b
 	}
 	return nil, false
 }
+
+// PredictAt, UpdateAt, PredictTaggedAt and AllocateAt implement core.StepTagged for the
+// specialized loops. A filtered Perceptron keeps no per-block hash table, so
+// they forward to the address-fed methods and ignore blk.
+//
+//pclint:hotpath
+func (f *Perceptron) PredictAt(_ int, addr, hist uint64) bool { return f.Predict(addr, hist) }
+
+//pclint:hotpath
+func (f *Perceptron) UpdateAt(_ int, addr, hist uint64, taken bool) { f.Update(addr, hist, taken) }
+
+//pclint:hotpath
+func (f *Perceptron) PredictTaggedAt(_ int, addr, hist uint64) (taken, hit bool) {
+	return f.PredictTagged(addr, hist)
+}
+
+//pclint:hotpath
+func (f *Perceptron) AllocateAt(_ int, addr, hist uint64, taken bool) { f.Allocate(addr, hist, taken) }

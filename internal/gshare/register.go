@@ -57,9 +57,9 @@ func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, b
 		return core.SpecializeAlone(h, g), true
 	case *tagged.Gshare:
 		if filtered {
-			return core.SpecializeFiltered(h, p, g, c), true
+			return core.SpecializeFiltered(h, p, g, c.Bind(p)), true
 		}
-		return core.SpecializeUnfiltered(h, p, g, c), true
+		return core.SpecializeUnfiltered(h, p, g, c.Bind(p)), true
 	case *filteredpkg.Perceptron:
 		if filtered {
 			return core.SpecializeFiltered(h, p, g, c), true
@@ -71,4 +71,18 @@ func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, b
 		}
 	}
 	return nil, false
+}
+
+// PredictAt and UpdateAt implement core.StepPredictor for the
+// specialized loops. A Gshare keeps no per-block hash table, so they
+// index by address and ignore blk. Like Bimodal's, they repeat the
+// one-line bodies of Predict and Update, which do not inline, to keep
+// a forwarding call off every probe.
+//
+//pclint:hotpath
+func (g *Gshare) PredictAt(_ int, addr, hist uint64) bool { return g.table.Taken(g.index(addr, hist)) }
+
+//pclint:hotpath
+func (g *Gshare) UpdateAt(_ int, addr, hist uint64, taken bool) {
+	g.table.Update(g.index(addr, hist), taken)
 }

@@ -24,10 +24,12 @@ package gskew
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"prophetcritic/internal/bitutil"
 	"prophetcritic/internal/checkpoint"
 	"prophetcritic/internal/counter"
+	"prophetcritic/internal/program"
 )
 
 // Gskew is a 2Bc-gskew predictor with four 2^indexBits-entry tables.
@@ -43,17 +45,47 @@ type Gskew struct {
 	histLen           uint
 	histMask          uint64
 	idxMask           uint64
-	// g1Hist memoizes idxG1's history transform Fold(rotl(h,3)*K,
-	// indexBits) for every possible history value. The prophet's walk
-	// calls Predict once per future bit, so this fold is the single
-	// hottest hash in the simulator; the table turns it into one load.
-	// nil when histLen is too long to tabulate (> maxHistTableBits).
+	// g1Hist is idxG1's history transform Fold(rotl(h,3)*K, indexBits)
+	// tabulated for every possible history value: the prophet's walk
+	// probes once per future bit, so the table turns the hottest
+	// history hash into one load. It is shared read-only by every
+	// Gskew of the same geometry (g1HistTable), and nil when histLen
+	// is too long to tabulate (> maxHistTableBits).
 	g1Hist []uint32
 }
 
 // maxHistTableBits bounds the g1Hist table to 2^16 entries (256KB); every
 // Table 3 gskew configuration has histLen <= 15.
 const maxHistTableBits = 16
+
+// g1Hists memoizes g1Hist per [indexBits, histLen]: the table is a pure
+// function of the geometry, so a sweep building many hybrids of a few
+// geometries folds each table once per process instead of once per
+// New.
+var g1Hists sync.Map
+
+// g1HistTable returns the shared g1Hist table for a geometry, or nil
+// when histLen > maxHistTableBits.
+func g1HistTable(indexBits, histLen uint) []uint32 {
+	if histLen > maxHistTableBits {
+		return nil
+	}
+	key := [2]uint{indexBits, histLen}
+	if t, ok := g1Hists.Load(key); ok {
+		return t.([]uint32)
+	}
+	tab := make([]uint32, 1<<histLen)
+	for h := range tab {
+		tab[h] = uint32(g1HistFold(uint64(h), indexBits))
+	}
+	t, _ := g1Hists.LoadOrStore(key, tab)
+	return t.([]uint32)
+}
+
+//pclint:hotpath
+func g1HistFold(h uint64, indexBits uint) uint64 {
+	return bitutil.Fold(bits.RotateLeft64(h, 3)*0x9e3779b97f4a7c15, indexBits)
+}
 
 // New returns a 2Bc-gskew with 2^indexBits entries per table and histLen
 // bits of global history.
@@ -64,21 +96,47 @@ func New(indexBits, histLen uint) *Gskew {
 	mk := func() counter.Packed2 {
 		return counter.NewPacked2(1<<indexBits, counter.Sat2Cold)
 	}
-	g := &Gskew{
+	return &Gskew{
 		bim: mk(), g0: mk(), g1: mk(), meta: mk(),
 		indexBits: indexBits,
 		histLen:   histLen,
 		histMask:  bitutil.Mask(histLen),
 		idxMask:   bitutil.Mask(indexBits),
+		g1Hist:    g1HistTable(indexBits, histLen),
 	}
-	if histLen <= maxHistTableBits {
-		tab := make([]uint32, 1<<histLen)
-		for h := range tab {
-			tab[h] = uint32(bitutil.Fold(bits.RotateLeft64(uint64(h), 3)*0x9e3779b97f4a7c15, indexBits))
-		}
-		g.g1Hist = tab
+}
+
+// addrFolds are the three distinct address folds the four indices use,
+// of a = addr>>2 at indexBits: bim = Fold(a) feeds BIM and G0, g1 =
+// Fold(rotl(a,5)) feeds G1, meta = Fold(rotl(a,11)) feeds META. They
+// depend on the branch address alone, so the specialized step loops
+// read them from a per-block table (Bind) while Predict and Update fold
+// on the fly; the index functions below are the one definition either
+// way.
+type addrFolds struct{ bim, g1, meta uint32 }
+
+// lazyG1 marks folds whose G1 half is not computed yet; predict folds it
+// only when META selects the majority vote. Folds are below 2^28, so no
+// real fold equals it.
+const lazyG1 = ^uint32(0)
+
+// Address rotations of the G1 and META folds.
+const rotG1, rotMeta = 5, 11
+
+//pclint:hotpath
+func foldAddr(addr uint64, indexBits uint) addrFolds {
+	return addrFolds{
+		bim:  foldRot(addr, 0, indexBits),
+		g1:   foldRot(addr, rotG1, indexBits),
+		meta: foldRot(addr, rotMeta, indexBits),
 	}
-	return g
+}
+
+// foldRot is Fold(rotl(addr>>2, rot), indexBits).
+//
+//pclint:hotpath
+func foldRot(addr uint64, rot int, indexBits uint) uint32 {
+	return uint32(bitutil.Fold(bits.RotateLeft64(addr>>2, rot), indexBits))
 }
 
 // The three indexing functions. BIM ignores history. G0 and G1 use
@@ -86,51 +144,40 @@ func New(indexBits, histLen uint) *Gskew {
 // the essence of the skewed organisation.
 //
 //pclint:hotpath
-func (g *Gskew) idxBim(addr uint64) uint64 {
-	return bitutil.Fold(addr>>2, g.indexBits)
+func (g *Gskew) idxBim(f addrFolds) uint64 {
+	return uint64(f.bim)
 }
 
 //pclint:hotpath
-func (g *Gskew) idxG0(addr, hist uint64) uint64 {
+func (g *Gskew) idxG0(f addrFolds, hist uint64) uint64 {
 	h := hist & g.histMask
-	if g.histLen <= g.indexBits {
-		// Fold of a value already narrower than the index is the value
-		// itself — true for every Table 3 gskew configuration.
-		return (bitutil.Fold(addr>>2, g.indexBits) ^ h) & g.idxMask
+	// A history no wider than the index folds to itself, so only a
+	// longer one is folded; no Table 3 gskew configuration has one.
+	if g.histLen > g.indexBits {
+		h = bitutil.Fold(h, g.indexBits)
 	}
-	return bitutil.IndexHash(addr, h, g.indexBits)
+	return (uint64(f.bim) ^ h) & g.idxMask
 }
 
 //pclint:hotpath
-func (g *Gskew) idxG1(addr, hist uint64) uint64 {
+func (g *Gskew) idxG1(f addrFolds, hist uint64) uint64 {
 	h := hist & g.histMask
-	a := bits.RotateLeft64(addr>>2, 5)
 	var hf uint64
 	if g.g1Hist != nil {
 		hf = uint64(g.g1Hist[h])
 	} else {
-		hf = bitutil.Fold(bits.RotateLeft64(h, 3)*0x9e3779b97f4a7c15, g.indexBits)
+		hf = g1HistFold(h, g.indexBits)
 	}
-	return (bitutil.Fold(a, g.indexBits) ^ hf) & g.idxMask
+	return (uint64(f.g1) ^ hf) & g.idxMask
 }
 
 //pclint:hotpath
-func (g *Gskew) idxMeta(addr, hist uint64) uint64 {
-	h := hist & g.histMask
-	a := bits.RotateLeft64(addr>>2, 11)
-	hf := h >> 1
+func (g *Gskew) idxMeta(f addrFolds, hist uint64) uint64 {
+	hf := (hist & g.histMask) >> 1
 	if g.histLen > g.indexBits+1 {
 		hf = bitutil.Fold(hf, g.indexBits)
 	}
-	return (bitutil.Fold(a, g.indexBits) ^ hf) & g.idxMask
-}
-
-// indices computes all four table indices in one pass; Predict and Update
-// each hash the (addr, hist) pair exactly once.
-//
-//pclint:hotpath
-func (g *Gskew) indices(addr, hist uint64) (iB, i0, i1, iM uint64) {
-	return g.idxBim(addr), g.idxG0(addr, hist), g.idxG1(addr, hist), g.idxMeta(addr, hist)
+	return (uint64(f.meta) ^ hf) & g.idxMask
 }
 
 //pclint:hotpath
@@ -148,26 +195,30 @@ func majority(a, b, c bool) bool {
 	return n >= 2
 }
 
-// components returns the three direction predictions and the meta choice.
-//
-//pclint:hotpath
-func (g *Gskew) components(addr, hist uint64) (bim, p0, p1, useMajority bool) {
-	iB, i0, i1, iM := g.indices(addr, hist)
-	return g.bim.Taken(iB), g.g0.Taken(i0), g.g1.Taken(i1), g.meta.Taken(iM)
-}
-
-// Predict implements predictor.Predictor. The skewed tables are read
-// lazily: when META selects the bimodal component, the G0/G1 hashes —
-// the most expensive ones — are never computed. Predict is the dominant
-// call of the prophet's future-bit walk, so this pays once per future bit.
+// Predict implements predictor.Predictor. It leaves G1's address half
+// unfolded (lazyG1): predict folds it only if META selects the vote.
 //
 //pclint:hotpath
 func (g *Gskew) Predict(addr, hist uint64) bool {
-	bim := g.bim.Taken(g.idxBim(addr))
-	if !g.meta.Taken(g.idxMeta(addr, hist)) {
+	f := addrFolds{bim: foldRot(addr, 0, g.indexBits), g1: lazyG1, meta: foldRot(addr, rotMeta, g.indexBits)}
+	return g.predict(f, addr, hist)
+}
+
+// predict reads the skewed tables lazily: when META selects the
+// bimodal component, the G0/G1 indices are never computed. It is the
+// dominant call of the prophet's future-bit walk (through
+// Bound.PredictAt), so this pays once per future bit.
+//
+//pclint:hotpath
+func (g *Gskew) predict(f addrFolds, addr, hist uint64) bool {
+	bim := g.bim.Taken(g.idxBim(f))
+	if !g.meta.Taken(g.idxMeta(f, hist)) {
 		return bim
 	}
-	return majority(bim, g.g0.Taken(g.idxG0(addr, hist)), g.g1.Taken(g.idxG1(addr, hist)))
+	if f.g1 == lazyG1 {
+		f.g1 = foldRot(addr, rotG1, g.indexBits)
+	}
+	return majority(bim, g.g0.Taken(g.idxG0(f, hist)), g.g1.Taken(g.idxG1(f, hist)))
 }
 
 // Update implements predictor.Predictor, applying the partial update
@@ -175,7 +226,12 @@ func (g *Gskew) Predict(addr, hist uint64) bool {
 //
 //pclint:hotpath
 func (g *Gskew) Update(addr, hist uint64, taken bool) {
-	iB, i0, i1, iM := g.indices(addr, hist)
+	g.update(foldAddr(addr, g.indexBits), hist, taken)
+}
+
+//pclint:hotpath
+func (g *Gskew) update(f addrFolds, hist uint64, taken bool) {
+	iB, i0, i1, iM := g.idxBim(f), g.idxG0(f, hist), g.idxG1(f, hist), g.idxMeta(f, hist)
 	bim := g.bim.Taken(iB)
 	p0 := g.g0.Taken(i0)
 	p1 := g.g1.Taken(i1)
@@ -251,4 +307,43 @@ func (g *Gskew) Restore(dec *checkpoint.Decoder) error {
 		tables[i].LoadBytes(t)
 	}
 	return nil
+}
+
+// Bound is a Gskew bound to one program's per-block address folds: the
+// form the specialized step loops (core.SpecializeStep) probe. Its
+// probes index the folds by block instead of re-folding the branch
+// address, which the prophet's walk would otherwise do once per future
+// bit.
+type Bound struct {
+	g     *Gskew
+	folds []addrFolds
+}
+
+// foldKey names a per-block fold table: the folds depend on the
+// address and indexBits only, so every Gskew with the same table size
+// shares one table per program.
+type foldKey struct{ indexBits uint }
+
+// Bind returns g probed through p's per-block address folds, building
+// the fold table on first use for this (program, indexBits).
+func (g *Gskew) Bind(p *program.Program) *Bound {
+	ib := g.indexBits
+	folds := program.BlockTable(p, foldKey{ib}, func(addr uint64) addrFolds { return foldAddr(addr, ib) })
+	return &Bound{g: g, folds: folds}
+}
+
+// PredictAt implements core.StepPredictor: Predict for the branch of
+// block blk.
+//
+//pclint:hotpath
+func (b *Bound) PredictAt(blk int, addr, hist uint64) bool {
+	return b.g.predict(b.folds[blk], addr, hist)
+}
+
+// UpdateAt implements core.StepPredictor: Update for the branch of
+// block blk.
+//
+//pclint:hotpath
+func (b *Bound) UpdateAt(blk int, _, hist uint64, taken bool) {
+	b.g.update(b.folds[blk], hist, taken)
 }

@@ -57,9 +57,10 @@ func TestSkewedIndexesDiffer(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		addr := i*0x40 + 0x1000
 		hist := i * 2654435761
-		i0 := g.idxG0(addr, hist)
-		i1 := g.idxG1(addr, hist)
-		im := g.idxMeta(addr, hist)
+		f := foldAddr(addr, g.indexBits)
+		i0 := g.idxG0(f, hist)
+		i1 := g.idxG1(f, hist)
+		im := g.idxMeta(f, hist)
 		if i0 != i1 || i1 != im {
 			distinct++
 		}

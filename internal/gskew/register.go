@@ -54,20 +54,20 @@ func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, b
 	filtered := h.Config().Filtered
 	switch c := h.Critic().(type) {
 	case nil:
-		return core.SpecializeAlone(h, g), true
+		return core.SpecializeAlone(h, g.Bind(p)), true
 	case *tagged.Gshare:
 		if filtered {
-			return core.SpecializeFiltered(h, p, g, c), true
+			return core.SpecializeFiltered(h, p, g.Bind(p), c.Bind(p)), true
 		}
-		return core.SpecializeUnfiltered(h, p, g, c), true
+		return core.SpecializeUnfiltered(h, p, g.Bind(p), c.Bind(p)), true
 	case *filteredpkg.Perceptron:
 		if filtered {
-			return core.SpecializeFiltered(h, p, g, c), true
+			return core.SpecializeFiltered(h, p, g.Bind(p), c), true
 		}
-		return core.SpecializeUnfiltered(h, p, g, c), true
+		return core.SpecializeUnfiltered(h, p, g.Bind(p), c), true
 	case *perceptron.Perceptron:
 		if !filtered {
-			return core.SpecializeUnfiltered(h, p, g, c), true
+			return core.SpecializeUnfiltered(h, p, g.Bind(p), c), true
 		}
 	}
 	return nil, false

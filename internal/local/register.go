@@ -54,3 +54,13 @@ func specializeStep(h *core.Hybrid, _ *program.Program) (core.SpecializedStep, b
 	}
 	return core.SpecializeAlone(h, pr), true
 }
+
+// PredictAt and UpdateAt implement core.StepPredictor for the
+// specialized loops. A Local keeps no per-block hash table, so
+// they forward to the address-fed methods and ignore blk.
+//
+//pclint:hotpath
+func (l *Local) PredictAt(_ int, addr, hist uint64) bool { return l.Predict(addr, hist) }
+
+//pclint:hotpath
+func (l *Local) UpdateAt(_ int, addr, hist uint64, taken bool) { l.Update(addr, hist, taken) }

@@ -65,3 +65,13 @@ func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, b
 	}
 	return nil, false
 }
+
+// PredictAt and UpdateAt implement core.StepPredictor for the
+// specialized loops. A Perceptron keeps no per-block hash table, so
+// they forward to the address-fed methods and ignore blk.
+//
+//pclint:hotpath
+func (p *Perceptron) PredictAt(_ int, addr, hist uint64) bool { return p.Predict(addr, hist) }
+
+//pclint:hotpath
+func (p *Perceptron) UpdateAt(_ int, addr, hist uint64, taken bool) { p.Update(addr, hist, taken) }

@@ -20,6 +20,7 @@ package program
 
 import (
 	"fmt"
+	"sync"
 
 	"prophetcritic/internal/bitutil"
 )
@@ -62,6 +63,10 @@ type Program struct {
 	traceEvents  uint64
 	traceWarmup  int
 	traceMeasure int
+
+	// tables memoizes BlockTable results: derived, read-only per-block
+	// tables keyed by the caller's geometry key.
+	tables sync.Map
 }
 
 // Blocks returns the program's basic blocks.
@@ -72,6 +77,26 @@ func (p *Program) NumBlocks() int { return len(p.blocks) }
 
 // Seed returns the generation seed, for reproducibility reporting.
 func (p *Program) Seed() uint64 { return p.seed }
+
+// BlockTable returns f applied to the branch address of every block of
+// p, computed once per (p, key) and shared by every caller that asks
+// with an equal key. Predictors use it to hash each static branch once
+// per table geometry instead of once per probe: key names the geometry
+// (give it a package-local type, since keys of different types never
+// compare equal) and f must be a pure function of the address at that
+// geometry. Safe for concurrent use; the returned slice is shared and
+// must not be modified.
+func BlockTable[K comparable, V any](p *Program, key K, f func(addr uint64) V) []V {
+	if t, ok := p.tables.Load(key); ok {
+		return t.([]V)
+	}
+	tab := make([]V, len(p.blocks))
+	for i := range p.blocks {
+		tab[i] = f(p.blocks[i].Addr)
+	}
+	t, _ := p.tables.LoadOrStore(key, tab)
+	return t.([]V)
+}
 
 // blockAt maps a branch address back to its block index. Synthetic
 // addresses are arithmetic so the common case is O(1) arithmetic;

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"prophetcritic/internal/bitutil"
 )
 
 func TestAllBenchmarksValidate(t *testing.T) {
@@ -511,5 +513,39 @@ func TestNextBlockZeroAlloc(t *testing.T) {
 	buf := make([]Event, 256)
 	if allocs := testing.AllocsPerRun(200, func() { r.NextBlock(buf) }); allocs != 0 {
 		t.Errorf("Run.NextBlock allocates %.1f times per block, want 0", allocs)
+	}
+}
+
+// BlockTable builds one table per (program, key) and hands every
+// caller, concurrent ones included, that same table; keys of different
+// types never share an entry even when their values are equal.
+func TestBlockTableSharedAcrossGoroutines(t *testing.T) {
+	p := MustLoad("gcc")
+	type keyA struct{ w uint }
+	type keyB struct{ w uint }
+	fold := func(addr uint64) uint32 { return uint32(bitutil.Fold(addr>>2, 10)) }
+	tabs := make([][]uint32, 8)
+	var wg sync.WaitGroup
+	for i := range tabs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tabs[i] = BlockTable(p, keyA{10}, fold)
+		}()
+	}
+	wg.Wait()
+	for i, tab := range tabs {
+		if len(tab) != p.NumBlocks() || &tab[0] != &tabs[0][0] {
+			t.Fatalf("caller %d got its own table (len %d)", i, len(tab))
+		}
+	}
+	for i, b := range p.Blocks() {
+		if tabs[0][i] != fold(b.Addr) {
+			t.Fatalf("block %d: table %d, want %d", i, tabs[0][i], fold(b.Addr))
+		}
+	}
+	other := BlockTable(p, keyB{10}, func(uint64) uint32 { return 7 })
+	if &other[0] == &tabs[0][0] || other[0] != 7 {
+		t.Fatal("keys of different types shared a table")
 	}
 }

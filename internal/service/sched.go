@@ -253,7 +253,9 @@ func New(cfg Config) (*Scheduler, error) {
 			}
 		case StateDone:
 			// Seed the fresh event log with the terminal event so a
-			// post-restart stream still ends with the job's rows.
+			// post-restart stream still ends with the job's rows. No
+			// observer can see the job before New returns, so the
+			// stream already ends when its done state is first read.
 			s.emit(j.ID, Event{Type: "done", Job: j.ID, Rows: j.Rows})
 		case StateFailed:
 			s.emit(j.ID, Event{Type: "failed", Job: j.ID, Error: j.Error})
@@ -469,18 +471,44 @@ func (s *Scheduler) setState(j *Job, state string) error {
 	return s.st.saveJob(j)
 }
 
+// A job becomes terminal in two steps. First its record is persisted
+// in the terminal state (persistTerminal), so a crash from here on
+// restarts it as terminal (New seeds its stream from the record). Then
+// publishTerminal closes its span and, under s.mu, both sets the state
+// JobSnapshot and GET /v1/jobs/{id} report and appends the terminal
+// event that ends its stream. Observers therefore see the two together:
+// a client that reads done or failed from either finds the span closed,
+// the stream ended, and the other agreeing.
+
+// persistTerminal saves j's record as it reads once terminal, without
+// publishing the state.
+func (s *Scheduler) persistTerminal(j *Job, state, errMsg string) error {
+	s.mu.Lock()
+	rec := *j
+	s.mu.Unlock()
+	rec.State, rec.Error = state, errMsg
+	return s.st.saveJob(&rec)
+}
+
+// publishTerminal closes j's span, then publishes its terminal state
+// and terminal event atomically with respect to JobSnapshot.
+func (s *Scheduler) publishTerminal(j *Job, state, errMsg string, e Event) {
+	s.traceJobEnd(j.ID, state)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.State, j.Error = state, errMsg
+	if l, ok := s.logs[j.ID]; ok {
+		l.append(e)
+	}
+}
+
 // failJob marks a job failed.
 func (s *Scheduler) failJob(j *Job, err error) {
-	s.mu.Lock()
-	j.State = StateFailed
-	j.Error = err.Error()
-	s.mu.Unlock()
-	_ = s.st.saveJob(j)
+	_ = s.persistTerminal(j, StateFailed, err.Error())
 	s.st.removeCheckpoint(j.ID)
 	s.failed.Add(1)
 	s.q.Release(j.Spec.Client)
-	s.emit(j.ID, Event{Type: "failed", Job: j.ID, Error: err.Error()})
-	s.traceJobEnd(j.ID, "failed")
+	s.publishTerminal(j, StateFailed, err.Error(), Event{Type: "failed", Job: j.ID, Error: err.Error()})
 	s.log.ErrorContext(obs.WithJob(context.Background(), j.ID), "job failed", "err", err)
 }
 
@@ -668,7 +696,7 @@ func (s *Scheduler) runJob(j *Job) {
 		endWl()
 	}
 
-	if err := s.setState(j, StateDone); err != nil {
+	if err := s.persistTerminal(j, StateDone, ""); err != nil {
 		s.failJob(j, err)
 		return
 	}
@@ -678,8 +706,7 @@ func (s *Scheduler) runJob(j *Job) {
 	s.mu.Lock()
 	rows := append([]ResultRow(nil), j.Rows...)
 	s.mu.Unlock()
-	s.emit(j.ID, Event{Type: "done", Job: j.ID, Rows: rows})
-	s.traceJobEnd(j.ID, "done")
+	s.publishTerminal(j, StateDone, "", Event{Type: "done", Job: j.ID, Rows: rows})
 	s.log.InfoContext(jctx, "job done", "rows", len(rows))
 }
 

@@ -44,14 +44,25 @@ func restoreBytes(t *testing.T, h *core.Hybrid, buf []byte) {
 // equivBuilders is the wall's configuration matrix: every registered
 // family prophet-alone, plus filtered and unfiltered hybrid pairs so
 // all three specialization shapes (alone/unfiltered/filtered) and the
-// wrong-path walk are exercised.
+// wrong-path walk are exercised. The unfiltered pair is an off-table
+// gskew whose history outgrows its index and its g1Hist table, so the
+// per-block folds are checked where the index math folds history too.
 func equivBuilders(t *testing.T) (names []string, builds []sim.Builder) {
 	t.Helper()
 	names, builds = familyBuilders(t)
-	names = append(names, "gskew+tagged-gshare-fb8", "perceptron+filtered-perceptron-fb4")
+	longHist, err := budget.ParseSpec("2Bc-gskew(entries=256,hist=20)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	critic := budget.MustLookup(budget.TaggedGshare, 2)
+	names = append(names, "gskew+tagged-gshare-fb8", "perceptron+filtered-perceptron-fb4",
+		"gskew-h20+tagged-gshare-unfiltered-fb6")
 	builds = append(builds,
 		hybridBuilder(budget.Gskew, budget.TaggedGshare, 8),
-		hybridBuilder(budget.Perceptron, budget.FilteredPerceptron, 4))
+		hybridBuilder(budget.Perceptron, budget.FilteredPerceptron, 4),
+		func() *core.Hybrid {
+			return core.New(longHist.Build(), critic.Build(), core.Config{FutureBits: 6, BORLen: critic.BORSize()})
+		})
 	return names, builds
 }
 

@@ -50,7 +50,7 @@ func init() {
 
 func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, bool) {
 	if pr, ok := h.Prophet().(*Gshare); ok && h.Critic() == nil {
-		return core.SpecializeAlone(h, pr), true
+		return core.SpecializeAlone(h, pr.Bind(p)), true
 	}
 	c, ok := h.Critic().(*Gshare)
 	if !ok {
@@ -58,9 +58,9 @@ func specializeStep(h *core.Hybrid, p *program.Program) (core.SpecializedStep, b
 	}
 	if pr, ok := h.Prophet().(*perceptron.Perceptron); ok {
 		if h.Config().Filtered {
-			return core.SpecializeFiltered(h, p, pr, c), true
+			return core.SpecializeFiltered(h, p, pr, c.Bind(p)), true
 		}
-		return core.SpecializeUnfiltered(h, p, pr, c), true
+		return core.SpecializeUnfiltered(h, p, pr, c.Bind(p)), true
 	}
 	return nil, false
 }

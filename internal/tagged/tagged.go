@@ -14,6 +14,7 @@ import (
 
 	"prophetcritic/internal/checkpoint"
 	"prophetcritic/internal/predictor"
+	"prophetcritic/internal/program"
 	"prophetcritic/internal/tagtable"
 )
 
@@ -61,6 +62,51 @@ func (g *Gshare) Update(addr, hist uint64, taken bool) {
 //pclint:hotpath
 func (g *Gshare) Allocate(addr, hist uint64, taken bool) {
 	g.table.Allocate(addr, hist, taken)
+}
+
+// Bound is a Gshare bound to one program's per-block set-index folds:
+// the form the specialized step loops (core.SpecializeStep) probe. Its
+// probes take the address half of the set index from the block's fold
+// (tagtable.Table.BlockFolds); the tag hash mixes the BOR in before
+// spreading, so it is still computed per probe.
+type Bound struct {
+	g     *Gshare
+	folds []uint32
+}
+
+// Bind returns g probed through p's per-block set-index folds.
+func (g *Gshare) Bind(p *program.Program) *Bound {
+	return &Bound{g: g, folds: g.table.BlockFolds(p)}
+}
+
+// PredictAt implements core.StepPredictor: Predict for the branch of
+// block blk at addr.
+//
+//pclint:hotpath
+func (b *Bound) PredictAt(blk int, addr, hist uint64) bool {
+	taken, _ := b.g.table.LookupFolded(b.folds[blk], addr, hist)
+	return taken
+}
+
+// PredictTaggedAt implements core.StepTagged.
+//
+//pclint:hotpath
+func (b *Bound) PredictTaggedAt(blk int, addr, hist uint64) (taken, hit bool) {
+	return b.g.table.LookupFolded(b.folds[blk], addr, hist)
+}
+
+// UpdateAt implements core.StepPredictor.
+//
+//pclint:hotpath
+func (b *Bound) UpdateAt(blk int, addr, hist uint64, taken bool) {
+	b.g.table.UpdateFolded(b.folds[blk], addr, hist, taken)
+}
+
+// AllocateAt implements core.StepTagged.
+//
+//pclint:hotpath
+func (b *Bound) AllocateAt(blk int, addr, hist uint64, taken bool) {
+	b.g.table.AllocateFolded(b.folds[blk], addr, hist, taken)
 }
 
 // HistoryLen implements predictor.Predictor.

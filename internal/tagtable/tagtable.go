@@ -17,12 +17,14 @@ import (
 	"prophetcritic/internal/bitutil"
 	"prophetcritic/internal/checkpoint"
 	"prophetcritic/internal/counter"
+	"prophetcritic/internal/program"
 )
 
 // Table is an N-way set-associative array of (tag, 2-bit counter) entries.
 type Table struct {
 	entries  []entry // sets*ways, set-major
 	setBits  uint
+	setMask  uint64 // precomputed bitutil.Mask(setBits)
 	tagBits  uint
 	ways     int
 	histLen  uint   // BOR bits consumed by the hash functions
@@ -59,6 +61,7 @@ func New(setBits uint, ways int, tagBits, histLen uint, withCounters bool) *Tabl
 	t := &Table{
 		entries:  make([]entry, (1<<setBits)*ways),
 		setBits:  setBits,
+		setMask:  bitutil.Mask(setBits),
 		tagBits:  tagBits,
 		ways:     ways,
 		histLen:  histLen,
@@ -68,13 +71,39 @@ func New(setBits uint, ways int, tagBits, histLen uint, withCounters bool) *Tabl
 	return t
 }
 
+// AddrFold returns the address half of addr's set index. It depends
+// on the address and the set count only, so a caller may compute it
+// once per static branch (BlockFolds) and probe with the *Folded
+// methods; the plain methods fold on every call.
+//
 //pclint:hotpath
-func (t *Table) set(addr, hist uint64) []entry {
-	h := hist & t.histMask
-	idx := bitutil.IndexHash(addr, h, t.setBits)
+func (t *Table) AddrFold(addr uint64) uint32 {
+	return uint32(bitutil.Fold(addr>>2, t.setBits))
+}
+
+// foldKey names a per-block AddrFold table: every Table with the same
+// set count shares one table per program.
+type foldKey struct{ setBits uint }
+
+// BlockFolds returns AddrFold of every block of p, indexed by block,
+// built on first use for this (program, set count).
+func (t *Table) BlockFolds(p *program.Program) []uint32 {
+	return program.BlockTable(p, foldKey{t.setBits}, t.AddrFold)
+}
+
+// set returns the set an (address fold, history) pair maps to: the
+// set index is IndexHash(addr, hist, setBits) with its address half
+// precomputed as af.
+//
+//pclint:hotpath
+func (t *Table) set(af uint32, hist uint64) []entry {
+	idx := (uint64(af) ^ bitutil.Fold(hist&t.histMask, t.setBits)) & t.setMask
 	return t.entries[idx*uint64(t.ways) : (idx+1)*uint64(t.ways)]
 }
 
+// tag hashes the BOR into the address before spreading it, so unlike
+// the set index it has no address-only half to precompute.
+//
 //pclint:hotpath
 func (t *Table) tag(addr, hist uint64) uint32 {
 	h := hist & t.histMask
@@ -86,7 +115,15 @@ func (t *Table) tag(addr, hist uint64) uint32 {
 //
 //pclint:hotpath
 func (t *Table) Lookup(addr, hist uint64) (taken, hit bool) {
-	set := t.set(addr, hist)
+	return t.LookupFolded(t.AddrFold(addr), addr, hist)
+}
+
+// LookupFolded is Lookup with addr's set-index half supplied as af ==
+// AddrFold(addr).
+//
+//pclint:hotpath
+func (t *Table) LookupFolded(af uint32, addr, hist uint64) (taken, hit bool) {
+	set := t.set(af, hist)
 	tag := t.tag(addr, hist)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -101,7 +138,14 @@ func (t *Table) Lookup(addr, hist uint64) (taken, hit bool) {
 //
 //pclint:hotpath
 func (t *Table) Update(addr, hist uint64, taken bool) bool {
-	set := t.set(addr, hist)
+	return t.UpdateFolded(t.AddrFold(addr), addr, hist, taken)
+}
+
+// UpdateFolded is Update with af == AddrFold(addr).
+//
+//pclint:hotpath
+func (t *Table) UpdateFolded(af uint32, addr, hist uint64, taken bool) bool {
+	set := t.set(af, hist)
 	tag := t.tag(addr, hist)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -120,7 +164,14 @@ func (t *Table) Update(addr, hist uint64, taken bool) bool {
 //
 //pclint:hotpath
 func (t *Table) Allocate(addr, hist uint64, taken bool) {
-	set := t.set(addr, hist)
+	t.AllocateFolded(t.AddrFold(addr), addr, hist, taken)
+}
+
+// AllocateFolded is Allocate with af == AddrFold(addr).
+//
+//pclint:hotpath
+func (t *Table) AllocateFolded(af uint32, addr, hist uint64, taken bool) {
+	set := t.set(af, hist)
 	tag := t.tag(addr, hist)
 	t.clock++
 	victim := 0

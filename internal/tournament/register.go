@@ -67,3 +67,13 @@ func specializeStep(h *core.Hybrid, _ *program.Program) (core.SpecializedStep, b
 	}
 	return core.SpecializeAlone(h, pr), true
 }
+
+// PredictAt and UpdateAt implement core.StepPredictor for the
+// specialized loops. A Tournament keeps no per-block hash table, so
+// they forward to the address-fed methods and ignore blk.
+//
+//pclint:hotpath
+func (t *Tournament) PredictAt(_ int, addr, hist uint64) bool { return t.Predict(addr, hist) }
+
+//pclint:hotpath
+func (t *Tournament) UpdateAt(_ int, addr, hist uint64, taken bool) { t.Update(addr, hist, taken) }

@@ -14,6 +14,17 @@ import (
 // huge allocation.
 const maxStrLen = 1 << 16
 
+// The header declares the CFG's block count before any block. A count
+// above maxCFGBlocks is rejected outright, and below it the reader
+// still allocates for at most cfgPrealloc blocks up front and grows
+// with the blocks it actually decodes, so memory follows the bytes in
+// the stream, not the claim: a few bytes of header must not cost
+// gigabytes.
+const (
+	maxCFGBlocks = 1 << 20
+	cfgPrealloc  = 1 << 12
+)
+
 // blockInfo is the reader's per-block knowledge needed to reconstitute
 // events.
 type blockInfo struct {
@@ -85,13 +96,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading CFG size: %w", err)
 	}
-	tr.byAddr = make(map[uint64]blockInfo, nBlocks)
+	if nBlocks > maxCFGBlocks {
+		return nil, fmt.Errorf("trace: CFG of %d blocks exceeds the %d-block bound", nBlocks, maxCFGBlocks)
+	}
+	prealloc := min(int(nBlocks), cfgPrealloc)
+	tr.byAddr = make(map[uint64]blockInfo, prealloc)
 	if nBlocks > 0 {
-		tr.cfg = make([]program.Block, nBlocks)
+		tr.cfg = make([]program.Block, 0, prealloc)
 		var prevAddr uint64
-		for i := range tr.cfg {
+		for i := 0; i < int(nBlocks); i++ {
+			tr.cfg = append(tr.cfg, program.Block{ID: i})
 			b := &tr.cfg[i]
-			b.ID = i
 			d, err := tr.getSvarint()
 			if err != nil {
 				return nil, fmt.Errorf("trace: reading CFG block %d: %w", i, err)
@@ -293,7 +308,7 @@ func (tr *Reader) getEdge(n int) (int, error) {
 	if v == 0 {
 		return -1, nil
 	}
-	if int(v) > n {
+	if v > uint64(n) {
 		return 0, fmt.Errorf("edge target %d out of range (%d blocks)", v-1, n)
 	}
 	return int(v) - 1, nil

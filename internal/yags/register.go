@@ -52,3 +52,13 @@ func specializeStep(h *core.Hybrid, _ *program.Program) (core.SpecializedStep, b
 	}
 	return core.SpecializeAlone(h, pr), true
 }
+
+// PredictAt and UpdateAt implement core.StepPredictor for the
+// specialized loops. A YAGS keeps no per-block hash table, so
+// they forward to the address-fed methods and ignore blk.
+//
+//pclint:hotpath
+func (y *YAGS) PredictAt(_ int, addr, hist uint64) bool { return y.Predict(addr, hist) }
+
+//pclint:hotpath
+func (y *YAGS) UpdateAt(_ int, addr, hist uint64, taken bool) { y.Update(addr, hist, taken) }

@@ -16,11 +16,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out=${1:-/tmp/bench-new.txt}
-go test -run=NONE -bench='BenchmarkHybridPredictResolve$|BenchmarkProphetAlone$|BenchmarkStepperStep$|BenchmarkManyStepperStep$|BenchmarkManyStepperStepObsOn$' \
+go test -run=NONE -bench='BenchmarkHybridPredictResolve$|BenchmarkProphetAlone$|BenchmarkStepperStep$|BenchmarkManyStepperStep$|BenchmarkManyStepperStepObsOn$|BenchmarkSpecialized/' \
     -benchtime=2000x -benchmem -count=3 . | tee "$out"
 
 fail=0
-for b in BenchmarkHybridPredictResolve BenchmarkProphetAlone BenchmarkStepperStep BenchmarkManyStepperStep BenchmarkManyStepperStepObsOn; do
+# BenchmarkSpecialized has one sub-benchmark per specialized loop shape
+# (alone, unfiltered, filtered) and probe kind (per-block hash tables or
+# address-fed). Every one that ran is gated on its own, so a new
+# sub-benchmark is gated without being listed here.
+specialized=$(grep -Eo '^BenchmarkSpecialized/[^ 	]+' "$out" | sed -E 's/-[0-9]+$//' | sort -u || true)
+if [ -z "$specialized" ]; then
+    echo "perf-guard: no BenchmarkSpecialized sub-benchmark ran" >&2
+    fail=1
+fi
+for b in BenchmarkHybridPredictResolve BenchmarkProphetAlone BenchmarkStepperStep BenchmarkManyStepperStep BenchmarkManyStepperStepObsOn \
+    $specialized; do
     # Every sampled run of a pinned benchmark must report 0 allocs/op.
     # Match the name up to a delimiter (the -P GOMAXPROCS suffix or the
     # padding whitespace) so prefix-named benches — ManyStepperStep vs
